@@ -285,6 +285,7 @@ func NewClientContext(ctx context.Context, t Transport, p Partitioner, local int
 	c.Lay.mu.Unlock()
 	if c.res != nil {
 		c.res.routes = c.routableEndpoints
+		c.res.member = func(ep int) bool { return c.layout.Load().Contains(ep) }
 	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
@@ -533,17 +534,16 @@ func (c *Client) getNeighborsUncached(ctx context.Context, ids []graph.NodeID, m
 				errs[s] = fmt.Errorf("cluster: server %d returned %d lists for %d ids", s, len(resp.Lists), len(grp))
 				return
 			}
+			// Per list: an offset/degree lookup (16 B), then per-entry
+			// pointer chasing — each neighbor ID is an individual
+			// fine-grained (8 B) indirect access, the access class Figure
+			// 2(c) counts.
+			entries := 0
 			for i, l := range resp.Lists {
 				out[pos[i]] = l
-				remote := s != c.local
-				// Offset/degree lookup, then per-entry pointer chasing:
-				// each neighbor ID is an individual fine-grained (8 B)
-				// indirect access — the access class Figure 2(c) counts.
-				c.Access.Record(trace.AccessStructure, 16, remote)
-				for range l {
-					c.Access.Record(trace.AccessStructure, 8, remote)
-				}
+				entries += len(l)
 			}
+			c.Access.RecordN(trace.AccessStructure, len(grp)+entries, 16*len(grp)+8*entries, s != c.local)
 		}(s, grp, positions[s])
 	}
 	wg.Wait()
@@ -620,8 +620,8 @@ func (c *Client) getAttrsUncached(ctx context.Context, ids []graph.NodeID) ([]fl
 			}
 			for i := range grp {
 				copy(out[pos[i]*al:], resp.Attrs[i*al:(i+1)*al])
-				c.Access.Record(trace.AccessAttribute, al*4, s != c.local)
 			}
+			c.Access.RecordN(trace.AccessAttribute, len(grp), len(grp)*al*4, s != c.local)
 		}(s, grp, positions[s])
 	}
 	wg.Wait()

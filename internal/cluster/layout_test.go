@@ -263,6 +263,35 @@ func TestBreakerPrunedOnLayoutSwap(t *testing.T) {
 	}
 }
 
+// TestBreakerNotReRegisteredAfterPrune covers a pass that resolved its
+// endpoints under the old epoch and reaches a departed endpoint's breaker
+// after the swap pruned it: the lookup must not put the breaker back.
+func TestBreakerNotReRegisteredAfterPrune(t *testing.T) {
+	g := testGraph(t)
+	_, client := buildLayoutCluster(t, g, 2, 2, nil, WithResilience(ResilienceConfig{Seed: 7}))
+	d, err := client.Layout().WithDraining(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := d.Without(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.ApplyLayout(out); err != nil {
+		t.Fatal(err)
+	}
+	r := client.res
+	if br := r.breaker(2); br.State() != BreakerClosed {
+		t.Fatalf("departed endpoint's breaker state = %v", br.State())
+	}
+	r.mu.Lock()
+	_, kept := r.breakers[2]
+	r.mu.Unlock()
+	if kept {
+		t.Fatal("a lookup after the swap re-registered the departed endpoint's breaker")
+	}
+}
+
 func TestClientDualHomeCounting(t *testing.T) {
 	g := testGraph(t)
 	_, client := buildLayoutCluster(t, g, 2, 2, nil)

@@ -212,9 +212,14 @@ func DecodeNeighborsRequest(b []byte) (NeighborsRequest, error) {
 	return NeighborsRequest{IDs: ids, MaxPerNode: max}, nil
 }
 
-// EncodeNeighborsResponse serializes r.
+// EncodeNeighborsResponse serializes r into a buffer sized up front.
 func EncodeNeighborsResponse(r NeighborsResponse) []byte {
-	out := []byte{OpGetNeighbors}
+	n := 5 + 4*len(r.Lists)
+	for _, l := range r.Lists {
+		n += 8 * len(l)
+	}
+	out := make([]byte, 0, n)
+	out = append(out, OpGetNeighbors)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Lists)))
 	for _, l := range r.Lists {
 		out = appendIDs(out, l)
@@ -264,13 +269,14 @@ func DecodeAttrsRequest(b []byte) (AttrsRequest, error) {
 	return AttrsRequest{IDs: ids}, nil
 }
 
-// EncodeAttrsResponse serializes r.
+// EncodeAttrsResponse serializes r into a buffer sized up front.
 func EncodeAttrsResponse(r AttrsResponse) []byte {
-	out := []byte{OpGetAttrs}
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.AttrLen))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Attrs)))
-	for _, f := range r.Attrs {
-		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(f))
+	out := make([]byte, 9+4*len(r.Attrs))
+	out[0] = OpGetAttrs
+	binary.LittleEndian.PutUint32(out[1:], uint32(r.AttrLen))
+	binary.LittleEndian.PutUint32(out[5:], uint32(len(r.Attrs)))
+	for i, f := range r.Attrs {
+		binary.LittleEndian.PutUint32(out[9+4*i:], math.Float32bits(f))
 	}
 	return out
 }

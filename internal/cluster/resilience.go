@@ -405,6 +405,11 @@ type resilience struct {
 	// already running completes against the endpoints it resolved. Nil or
 	// an empty resolution falls back to cfg.Replicas.
 	routes func(partition int) []int
+	// member, when set alongside routes, reports whether an endpoint is in
+	// the live layout. breaker consults it so a pass that resolved its
+	// endpoints before a swap cannot re-register a breaker for an endpoint
+	// the swap just pruned.
+	member func(endpoint int) bool
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -451,7 +456,12 @@ func (r *resilience) breaker(endpoint int) *breaker {
 	b, ok := r.breakers[endpoint]
 	if !ok {
 		b = &breaker{cfg: r.cfg.Breaker, st: r.stats, tr: r.tracer, ep: endpoint}
-		r.breakers[endpoint] = b
+		// Layout swaps store the new layout before pruning under r.mu, so
+		// checking membership under r.mu either sees the departure or
+		// registers before the prune that removes it.
+		if r.member == nil || r.member(endpoint) {
+			r.breakers[endpoint] = b
+		}
 	}
 	return b
 }

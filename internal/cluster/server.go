@@ -1,14 +1,17 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"lsdgnn/internal/graph"
+	"lsdgnn/internal/mem"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/stats"
 	"lsdgnn/internal/trace"
@@ -24,8 +27,12 @@ type Backend interface {
 	AttrLen() int
 	// AttrBytes returns the wire size of one attribute vector.
 	AttrBytes() int
-	// Neighbors returns v's adjacency; the returned slice must stay valid
-	// until the next call from the same goroutine.
+	// Neighbors returns v's adjacency. The server holds the returned slice
+	// until the request is answered and hands it to every repeat of v in
+	// that request, so it must stay valid and unmodified until then: a
+	// fresh slice per call (*store.DiskStore) or a view of immutable
+	// storage (*graph.Graph) both qualify; a reused per-goroutine buffer
+	// does not.
 	Neighbors(v graph.NodeID) []graph.NodeID
 	// Attr appends v's attribute vector to dst.
 	Attr(dst []float32, v graph.NodeID) []float32
@@ -130,44 +137,97 @@ func (s *Server) checkID(v graph.NodeID) error {
 	return nil
 }
 
-// GetNeighbors answers a batched neighbor request.
-func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (NeighborsResponse, error) {
-	resp := NeighborsResponse{Lists: make([][]graph.NodeID, len(req.IDs))}
-	for i, v := range req.IDs {
+// checkIDs validates ids in request order, so the first bad ID names the
+// error exactly as a one-at-a-time handler would.
+func (s *Server) checkIDs(ctx context.Context, ids []graph.NodeID) error {
+	for i, v := range ids {
 		if i%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if err := s.checkID(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// storageOrder returns the positions of ids sorted by ascending ID, so
+// repeats sit next to each other. Every backend lays its rows out in ID
+// order, so walking a request this way moves forward through storage: a
+// budgeted DiskStore faults each page at most once per request instead of
+// once per vertex. The slice comes from mem.U32s; the caller puts it back.
+func storageOrder(ids []graph.NodeID) []uint32 {
+	order := mem.U32s.Get(len(ids))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(ids[a], ids[b]) })
+	return order
+}
+
+// GetNeighbors answers a batched neighbor request, reading each distinct
+// ID once in storage order; repeated IDs share the first one's list.
+func (s *Server) GetNeighbors(ctx context.Context, req NeighborsRequest) (NeighborsResponse, error) {
+	if err := s.checkIDs(ctx, req.IDs); err != nil {
+		return NeighborsResponse{}, err
+	}
+	order := storageOrder(req.IDs)
+	defer mem.U32s.Put(order)
+	resp := NeighborsResponse{Lists: make([][]graph.NodeID, len(req.IDs))}
+	bytes := 0
+	for k, i := range order {
+		if k%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return NeighborsResponse{}, err
 			}
 		}
-		if err := s.checkID(v); err != nil {
-			return NeighborsResponse{}, err
-		}
-		nbrs := s.g.Neighbors(v)
-		if req.MaxPerNode > 0 && len(nbrs) > int(req.MaxPerNode) {
-			nbrs = nbrs[:req.MaxPerNode]
+		if prev := k - 1; prev >= 0 && req.IDs[order[prev]] == req.IDs[i] {
+			resp.Lists[i] = resp.Lists[order[prev]]
+		} else {
+			nbrs := s.g.Neighbors(req.IDs[i])
+			if req.MaxPerNode > 0 && len(nbrs) > int(req.MaxPerNode) {
+				nbrs = nbrs[:req.MaxPerNode]
+			}
+			resp.Lists[i] = nbrs
 		}
 		// Fine-grained structure access: offset lookup + ID list.
-		s.stats.Record(trace.AccessStructure, 16+len(nbrs)*8, false)
-		resp.Lists[i] = nbrs
+		bytes += 16 + len(resp.Lists[i])*8
 	}
+	s.stats.RecordN(trace.AccessStructure, len(req.IDs), bytes, false)
 	return resp, nil
 }
 
-// GetAttrs answers a batched attribute request.
+// GetAttrs answers a batched attribute request, reading each distinct ID
+// once in storage order straight into its row of the reply; repeated IDs
+// copy the first one's row.
 func (s *Server) GetAttrs(ctx context.Context, req AttrsRequest) (AttrsResponse, error) {
-	resp := AttrsResponse{AttrLen: s.g.AttrLen()}
-	for i, v := range req.IDs {
-		if i%ctxCheckStride == 0 {
+	if err := s.checkIDs(ctx, req.IDs); err != nil {
+		return AttrsResponse{}, err
+	}
+	order := storageOrder(req.IDs)
+	defer mem.U32s.Put(order)
+	al := s.g.AttrLen()
+	resp := AttrsResponse{AttrLen: al, Attrs: make([]float32, len(req.IDs)*al)}
+	row := func(i uint32) []float32 { return resp.Attrs[int(i)*al : int(i+1)*al : int(i+1)*al] }
+	for k, i := range order {
+		if k%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return AttrsResponse{}, err
 			}
 		}
-		if err := s.checkID(v); err != nil {
-			return AttrsResponse{}, err
+		if prev := k - 1; prev >= 0 && req.IDs[order[prev]] == req.IDs[i] {
+			copy(row(i), row(order[prev]))
+			continue
 		}
-		resp.Attrs = s.g.Attr(resp.Attrs, v)
-		s.stats.Record(trace.AccessAttribute, s.g.AttrBytes(), false)
+		got := s.g.Attr(row(i)[:0], req.IDs[i])
+		if len(got) != al {
+			return AttrsResponse{}, fmt.Errorf("cluster: backend returned %d attr floats for node %d, want %d", len(got), req.IDs[i], al)
+		}
+		copy(row(i), got) // a no-op when the backend appended in place
 	}
+	s.stats.RecordN(trace.AccessAttribute, len(req.IDs), len(req.IDs)*s.g.AttrBytes(), false)
 	return resp, nil
 }
 

@@ -46,12 +46,16 @@ type AccessStats struct {
 
 // Record notes one access of class c transferring n bytes; remote marks a
 // cross-server access.
-func (s *AccessStats) Record(c AccessClass, n int, remote bool) {
+func (s *AccessStats) Record(c AccessClass, n int, remote bool) { s.RecordN(c, 1, n, remote) }
+
+// RecordN notes count accesses of class c transferring n bytes in total —
+// the batched form of count Record calls, taking the lock once.
+func (s *AccessStats) RecordN(c AccessClass, count, n int, remote bool) {
 	s.mu.Lock()
-	s.requests[c]++
+	s.requests[c] += int64(count)
 	s.bytes[c] += int64(n)
 	if remote {
-		s.remote[c]++
+		s.remote[c] += int64(count)
 	}
 	s.mu.Unlock()
 }

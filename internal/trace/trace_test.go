@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -40,6 +41,21 @@ func TestAccessStatsReset(t *testing.T) {
 	s.Reset()
 	if s.Requests(AccessAttribute) != 0 {
 		t.Fatal("reset did not clear")
+	}
+}
+
+func TestAccessStatsRecordNMatchesRecord(t *testing.T) {
+	var one, batched AccessStats
+	for _, n := range []int{16, 8, 8, 8} {
+		one.Record(AccessStructure, n, true)
+	}
+	for i := 0; i < 3; i++ {
+		one.Record(AccessAttribute, 288, false)
+	}
+	batched.RecordN(AccessStructure, 4, 40, true)
+	batched.RecordN(AccessAttribute, 3, 3*288, false)
+	if !reflect.DeepEqual(one.StatsSnapshot(), batched.StatsSnapshot()) {
+		t.Fatalf("RecordN %v, per-access Record %v", batched.StatsSnapshot(), one.StatsSnapshot())
 	}
 }
 
