@@ -12,10 +12,11 @@ test:
 verify:
 	./scripts/verify.sh
 
-# Fault-injection suite: every chaos/resilience/recovery test hammered
-# under the race detector with a high iteration count.
+# Fault-injection suite: every chaos/resilience/recovery test, and every
+# cross-path parity property, hammered under the race detector with a
+# high iteration count.
 chaos:
-	$(GO) test -race -count=20 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestHedge|TestServerError|TestTCPPoolRecovery' ./internal/cluster/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestChaos|TestFaulty|TestBreaker|TestRetry|TestBootstrap|TestPartial|TestHedge|TestServerError|TestTCPPoolRecovery|Parity' ./internal/cluster/ ./internal/pipeline/ ./internal/gateway/ ./internal/store/ ./internal/sampler/ ./internal/axe/
 
 # Hot-path benchmark trajectory: runs the sample/pipeline/pack/codec
 # benchmarks, writes BENCH_6.json (before/after/reduction), and gates the

@@ -2,7 +2,6 @@ package axe
 
 import (
 	"fmt"
-	"math/rand"
 
 	"lsdgnn/internal/cluster"
 	"lsdgnn/internal/eventsim"
@@ -106,13 +105,8 @@ type run struct {
 	cores []*core
 	res   *sampler.Result
 	// attr offsets: res.Attrs[slot*attrLen : ...]
-	attrLen  int
-	hopBases []int // attr-slot base per hop
-	negBase  int
-	// levelW[h] is the per-root frontier width entering hop h
-	// (prod(fanouts[:h])), used to derive the (root, pos) RNG stream of a
-	// frontier task when Sampling.RootStreams is set.
-	levelW []int
+	attrLen int
+	lay     sampler.Layout
 
 	outstanding int
 	done        eventsim.Time
@@ -147,8 +141,7 @@ type core struct {
 	attrUnit    *eventsim.FIFO
 	window      *eventsim.Semaphore
 	cache       *CoalescingCache
-	rng         *rand.Rand
-	stream      *sampler.Stream
+	kernel      sampler.Kernel
 	scratch     []float32
 	sampleBuf   []graph.NodeID
 	issueTime   eventsim.Time
@@ -191,40 +184,19 @@ func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
 	// Preallocate the functional result in the canonical layout.
 	sp := cfg.Sampling
 	res := &sampler.Result{Roots: roots}
-	level := len(roots)
-	attrSlots := level
-	w := 1
-	for h, f := range sp.Fanouts {
-		r.levelW = append(r.levelW, w)
-		w *= f
-		level *= f
-		res.Hops = append(res.Hops, make([]graph.NodeID, level))
-		r.hopBases = append(r.hopBases, attrSlots)
-		_ = h
-		attrSlots += level
+	r.lay = sampler.NewLayout(sp, len(roots))
+	for h := range sp.Fanouts {
+		res.Hops = append(res.Hops, make([]graph.NodeID, len(roots)*r.lay.Width[h+1]))
 	}
-	r.negBase = attrSlots
 	if sp.NegativeRate > 0 {
-		res.Negatives = make([]graph.NodeID, len(roots)*sp.NegativeRate)
-		if sp.RootStreams {
-			st := sampler.GetStream()
-			for root := range roots {
-				nrng := st.Negatives(sp.Seed, root)
-				for i := 0; i < sp.NegativeRate; i++ {
-					res.Negatives[root*sp.NegativeRate+i] = graph.NodeID(nrng.Int63n(e.g.NumNodes()))
-				}
-			}
-			sampler.PutStream(st)
-		} else {
-			negRNG := rand.New(rand.NewSource(sp.Seed ^ 0x6e65676174697665))
-			for i := range res.Negatives {
-				res.Negatives[i] = graph.NodeID(negRNG.Int63n(e.g.NumNodes()))
-			}
-		}
-		attrSlots += len(res.Negatives)
+		// Without RootStreams the negatives draw from their own shared
+		// stream, apart from the cores' expansion streams.
+		k := sampler.NewKernel(sp, sp.Seed^0x6e65676174697665)
+		res.Negatives = k.Negatives(make([]graph.NodeID, 0, len(roots)*sp.NegativeRate), 0, len(roots), e.g.NumNodes())
+		k.Release()
 	}
 	if sp.FetchAttrs {
-		res.Attrs = make([]float32, attrSlots*r.attrLen)
+		res.Attrs = make([]float32, r.lay.Slots*r.attrLen)
 	}
 	r.res = res
 
@@ -241,8 +213,8 @@ func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
 			attrUnit:   eventsim.NewFIFO(r.sim),
 			window:     eventsim.NewSemaphore(cfg.Window),
 			cache:      NewCoalescingCache(cfg.CacheBytes, cfg.CacheLineBytes),
-			rng:        rand.New(rand.NewSource(sp.Seed + int64(i)*7919)),
-			stream:     sampler.NewStream(),
+			// Without RootStreams each core draws from its own stream.
+			kernel: sampler.NewKernel(sp, sp.Seed+int64(i)*7919),
 		}
 		c.issueTime = r.cyc(ii)
 		c.issueRemain = r.cyc(cfg.BaseNodeCycles - ii)
@@ -260,11 +232,14 @@ func (e *Engine) RunBatch(roots []graph.NodeID) (*sampler.Result, BatchStats) {
 	}
 	if sp.FetchAttrs {
 		for i, v := range res.Negatives {
-			r.cores[i%cfg.Cores].push(task{kind: taskAttr, v: v, idx: r.negBase + i})
+			r.cores[i%cfg.Cores].push(task{kind: taskAttr, v: v, idx: r.lay.NegBase + i})
 		}
 	}
 
 	r.sim.Run()
+	for _, c := range r.cores {
+		c.kernel.Release()
+	}
 	if r.outstanding != 0 {
 		panic(fmt.Sprintf("axe: %d tasks still outstanding after simulation drained", r.outstanding))
 	}
@@ -388,24 +363,15 @@ func (c *core) runFrontier(t task) {
 					c.memRead(edgeAddr(owner, start), owner, deg*8, next)
 				}
 				readEdges(func() {
-					nbrs := r.e.g.Neighbors(t.v)
 					fanout := cfg.Sampling.Fanouts[t.hop]
-					rng := c.rng
-					if cfg.Sampling.RootStreams {
-						// Derived per-node stream: any core may expand any
-						// task in any order and still draw the exact bits
-						// the synchronous sampler would have drawn. The
-						// core's stream cursor repositions in place — no
-						// per-task RNG construction.
-						w := r.levelW[t.hop]
-						rng = c.stream.Node(cfg.Sampling.Seed, t.idx/w, t.hop, t.idx%w)
-					}
-					c.sampleBuf = c.sampleBuf[:0]
+					// Under RootStreams the kernel derives the node's own
+					// stream from its level index, so any core may expand
+					// any task in any order and still draw the bits the
+					// synchronous sampler draws.
+					node := [1]graph.NodeID{t.v}
+					lists := [1][]graph.NodeID{r.e.g.Neighbors(t.v)}
 					var cycles int
-					c.sampleBuf, cycles = sampler.SampleNeighbors(c.sampleBuf, nbrs, fanout, cfg.Sampling.Method, rng)
-					for len(c.sampleBuf) < fanout {
-						c.sampleBuf = append(c.sampleBuf, t.v)
-					}
+					c.sampleBuf, cycles = c.kernel.Expand(c.sampleBuf[:0], t.hop, t.idx, node[:], lists[:])
 					if cycles < 1 {
 						cycles = 1
 					}
@@ -423,7 +389,7 @@ func (c *core) runFrontier(t task) {
 								c.push(task{kind: taskFrontier, v: child, hop: hop + 1, idx: childIdx})
 							}
 							if cfg.Sampling.FetchAttrs {
-								c.push(task{kind: taskAttr, v: child, idx: r.hopBases[hop] + childIdx})
+								c.push(task{kind: taskAttr, v: child, idx: r.lay.HopBase[hop] + childIdx})
 							}
 						}
 						// Stream the sampled IDs out.

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lsdgnn/internal/graph"
-	"lsdgnn/internal/mem"
 	"lsdgnn/internal/obs"
 	"lsdgnn/internal/sampler"
 	"lsdgnn/internal/stats"
@@ -594,12 +592,25 @@ func (c *Client) GetAttrs(ctx context.Context, ids []graph.NodeID) ([]float32, e
 }
 
 func (c *Client) getAttrsUncached(ctx context.Context, ids []graph.NodeID) ([]float32, error) {
-	if err := ctx.Err(); err != nil {
+	out := make([]float32, len(ids)*c.meta.AttrLen)
+	if err := c.attrsInto(ctx, out, ids); err != nil {
+		if _, ok := AsPartial(err); ok {
+			// Degraded: positions owned by lost shards stay zeroed.
+			return out, err
+		}
 		return nil, err
+	}
+	return out, nil
+}
+
+// attrsInto fetches the attribute vectors of ids straight into dst,
+// concatenated in order. Slots owned by a failed shard are zeroed.
+func (c *Client) attrsInto(ctx context.Context, dst []float32, ids []graph.NodeID) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	groups, positions := GroupByOwner(c.part, ids)
 	al := c.meta.AttrLen
-	out := make([]float32, len(ids)*al)
 	var wg sync.WaitGroup
 	errs := make([]error, len(groups))
 	for s, grp := range groups {
@@ -610,29 +621,24 @@ func (c *Client) getAttrsUncached(ctx context.Context, ids []graph.NodeID) ([]fl
 		go func(s int, grp []graph.NodeID, pos []int) {
 			defer wg.Done()
 			resp, err := c.attrsRPC(ctx, s, AttrsRequest{IDs: grp})
+			if err == nil && len(resp.Attrs) != len(grp)*al {
+				err = fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, len(resp.Attrs), len(grp))
+			}
 			if err != nil {
 				errs[s] = err
-				return
-			}
-			if len(resp.Attrs) != len(grp)*al {
-				errs[s] = fmt.Errorf("cluster: server %d returned %d attr floats for %d ids", s, len(resp.Attrs), len(grp))
+				for _, p := range pos {
+					clear(dst[p*al : (p+1)*al])
+				}
 				return
 			}
 			for i := range grp {
-				copy(out[pos[i]*al:], resp.Attrs[i*al:(i+1)*al])
+				copy(dst[pos[i]*al:], resp.Attrs[i*al:(i+1)*al])
 			}
 			c.Access.RecordN(trace.AccessAttribute, len(grp), len(grp)*al*4, s != c.local)
 		}(s, grp, positions[s])
 	}
 	wg.Wait()
-	if err := c.reduceFanout(ctx, errs); err != nil {
-		if _, ok := AsPartial(err); ok {
-			// Degraded: positions owned by lost shards stay zeroed.
-			return out, err
-		}
-		return nil, err
-	}
-	return out, nil
+	return c.reduceFanout(ctx, errs)
 }
 
 // reduceFanout reduces a fan-out's per-partition error slice. When the
@@ -681,7 +687,12 @@ func (c *Client) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []
 // AttrsBatch implements the batch-first sampler.Store interface: dst
 // receives vs's attribute vectors concatenated in order. Degraded
 // fetches leave lost vertices zeroed and return the *PartialError.
+// Without a hot-node cache or attribute coalescing the vectors land in
+// dst directly, with no intermediate copy.
 func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
+	if c.cache == nil && c.coalesce == nil {
+		return c.attrsInto(ctx, dst, vs)
+	}
 	attrs, err := c.GetAttrs(ctx, vs)
 	if len(attrs) > 0 {
 		copy(dst, attrs)
@@ -689,10 +700,10 @@ func (c *Client) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeI
 	return err
 }
 
-// SampleBatch performs batched k-hop sampling with per-hop grouped RPCs —
-// the distributed equivalent of sampler.Sampler.SampleBatch, producing an
-// identical Result layout. Cancellation or an expired deadline on ctx
-// aborts the batch between and within hops.
+// SampleBatch performs batched k-hop sampling with per-hop grouped RPCs:
+// sampler.Sampler.Sample over this client, with the client's trace, SLO
+// and degradation policy around it. Cancellation or an expired deadline
+// on ctx aborts the batch between and within hops.
 //
 // With PartialResults enabled (see ResilienceConfig), shard failures
 // degrade instead of aborting: the returned Result keeps its full layout —
@@ -708,7 +719,12 @@ func (c *Client) SampleBatch(ctx context.Context, roots []graph.NodeID, cfg samp
 		ctx, id = obs.EnsureTrace(ctx)
 	}
 	start := time.Now()
-	res, err := c.sampleBatch(ctx, roots, cfg)
+	st := &degradingStore{Client: c}
+	res, err := sampler.New(st, cfg).Sample(ctx, roots)
+	if err == nil && len(st.lost) > 0 {
+		c.Res.add(&c.Res.snap.DegradedBatches)
+		err = &PartialError{Shards: dedupShards(st.lost)}
+	}
 	if c.tracer != nil {
 		c.tracer.ObserveErr(id, obs.HopBatch, "", start, time.Since(start), err != nil)
 	}
@@ -726,96 +742,31 @@ func (c *Client) SampleBatch(ctx context.Context, roots []graph.NodeID, cfg samp
 	return res, err
 }
 
-func (c *Client) sampleBatch(ctx context.Context, roots []graph.NodeID, cfg sampler.Config) (*sampler.Result, error) {
-	var rng *rand.Rand
-	if !cfg.RootStreams {
-		rng = rand.New(rand.NewSource(cfg.Seed))
+// degradingStore is the Client as the store of one SampleBatch run. It
+// absorbs each *PartialError, recording the lost shards, so the run goes
+// on with lost vertices padded and zero-filled; any other error passes
+// through and aborts the run.
+type degradingStore struct {
+	*Client
+	lost []ShardError
+}
+
+// NeighborsBatch implements sampler.Store.
+func (d *degradingStore) NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error {
+	return d.absorb(d.Client.NeighborsBatch(ctx, dst, vs))
+}
+
+// AttrsBatch implements sampler.Store.
+func (d *degradingStore) AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error {
+	return d.absorb(d.Client.AttrsBatch(ctx, dst, vs))
+}
+
+func (d *degradingStore) absorb(err error) error {
+	if pe, ok := AsPartial(err); ok {
+		d.lost = append(d.lost, pe.Shards...)
+		return nil
 	}
-	st := sampler.GetStream()
-	defer sampler.PutStream(st)
-	// Result buffers come from a region with the same allocation shape as
-	// every other RootStreams path (one buffer per hop, one for negatives,
-	// one for attrs), so whole-result comparisons across paths — the parity
-	// harnesses compare region-backed results directly — see identical
-	// structure. The caller recycles via Result.Release.
-	rg := mem.NewRegion()
-	res := &sampler.Result{Roots: roots}
-	res.Own(rg)
-	frontier := roots
-	width := 1 // per-root frontier width at the current hop
-	var degraded []ShardError
-	for h, fanout := range cfg.Fanouts {
-		lists, err := c.GetNeighbors(ctx, frontier, 0)
-		if err != nil {
-			pe, partial := AsPartial(err)
-			if !partial {
-				res.Release()
-				return nil, err
-			}
-			degraded = append(degraded, pe.Shards...)
-		}
-		hopBuf := rg.IDs(len(frontier) * fanout)
-		next := hopBuf[:0:len(hopBuf)]
-		for i, nbrs := range lists {
-			r := rng
-			if cfg.RootStreams {
-				r = st.Node(cfg.Seed, i/width, h, i%width)
-			}
-			before := len(next)
-			var cyc int
-			next, cyc = sampler.SampleNeighbors(next, nbrs, fanout, cfg.Method, r)
-			res.Cycles += cyc
-			for len(next)-before < fanout {
-				next = append(next, frontier[i])
-			}
-		}
-		res.Hops = append(res.Hops, next)
-		frontier = next
-		width *= fanout
-	}
-	if cfg.NegativeRate > 0 {
-		negBuf := rg.IDs(len(roots) * cfg.NegativeRate)
-		negs := negBuf[:0:len(negBuf)]
-		for r := range roots {
-			nrng := rng
-			if cfg.RootStreams {
-				nrng = st.Negatives(cfg.Seed, r)
-			}
-			for i := 0; i < cfg.NegativeRate; i++ {
-				negs = append(negs, graph.NodeID(nrng.Int63n(c.meta.NumNodes)))
-			}
-		}
-		res.Negatives = negs
-	}
-	if cfg.FetchAttrs {
-		total := len(res.Roots) + len(res.Negatives)
-		for _, h := range res.Hops {
-			total += len(h)
-		}
-		ids := mem.IDs.Get(total)
-		ids = append(ids[:0], res.Roots...)
-		for _, h := range res.Hops {
-			ids = append(ids, h...)
-		}
-		ids = append(ids, res.Negatives...)
-		attrs, err := c.GetAttrs(ctx, ids)
-		mem.IDs.Put(ids)
-		if err != nil {
-			pe, partial := AsPartial(err)
-			if !partial {
-				res.Release()
-				return nil, err
-			}
-			degraded = append(degraded, pe.Shards...)
-		}
-		res.Attrs = rg.Floats(total*c.AttrLen(), true)
-		copy(res.Attrs, attrs)
-	}
-	if len(degraded) > 0 {
-		c.Res.add(&c.Res.snap.DegradedBatches)
-		return res, &PartialError{Shards: dedupShards(degraded)}
-	}
-	return res, nil
+	return err
 }
 
 // dedupShards merges repeated failures of the same partition across hops,

@@ -9,11 +9,16 @@
 // longer stalls the whole batch.
 //
 // Out-of-order execution is only usable if it does not change answers.
-// Every random draw therefore comes from a derived per-root stream
-// (sampler.NodeRNG / sampler.NegativesRNG, forced via
-// sampler.Config.RootStreams), making the sampled output a pure function
-// of (seed, root, hop, position) — byte-identical to the synchronous
-// path no matter how the window reorders completions.
+// Expansion and negatives go through sampler.Kernel with
+// sampler.Config.RootStreams forced on, so every draw comes from a
+// derived stream and the sampled output is a pure function of (seed,
+// root, hop, position) — byte-identical to the synchronous path no
+// matter how the window reorders completions.
+//
+// Degradation is this package's policy, not the store's or the
+// sampler's: a failed fetch degrades only the root that issued it (self-
+// loop padding, zeroed attributes) and the batch reports a
+// *PartialError, while a ctx expiry aborts the whole batch.
 package pipeline
 
 import (
@@ -207,11 +212,8 @@ type batch struct {
 	res *sampler.Result
 	win *window
 
-	attrLen  int
-	levelW   []int // per-root frontier width entering hop h
-	outW     []int // per-root width of Hops[h] (= levelW[h] * fanout)
-	hopBases []int // attr-slot base of Hops[h]
-	negBase  int   // attr-slot base of Negatives
+	attrLen int
+	lay     sampler.Layout
 
 	// Retire-stage bookkeeping for MaxHopOverlap: stage[r] is the hop
 	// root r is about to fetch (len(fanouts)+1 once fully retired).
@@ -260,34 +262,19 @@ func (e *Executor) Sample(ctx context.Context, roots []graph.NodeID) (*sampler.R
 	rg := mem.NewRegion()
 	res := &sampler.Result{Roots: roots}
 	res.Own(rg)
-	w := 1
-	attrSlots := len(roots)
-	for _, f := range sp.Fanouts {
-		b.levelW = append(b.levelW, w)
-		w *= f
-		b.outW = append(b.outW, w)
-		res.Hops = append(res.Hops, rg.IDs(len(roots)*w))
-		b.hopBases = append(b.hopBases, attrSlots)
-		attrSlots += len(roots) * w
+	b.lay = sampler.NewLayout(sp, len(roots))
+	for h := range sp.Fanouts {
+		res.Hops = append(res.Hops, rg.IDs(len(roots)*b.lay.Width[h+1]))
 	}
-	b.negBase = attrSlots
 	if sp.NegativeRate > 0 {
-		// Negatives need no graph I/O; fill them up front from the
-		// per-root derived streams.
-		res.Negatives = rg.IDs(len(roots) * sp.NegativeRate)
-		n := e.store.NumNodes()
-		st := sampler.GetStream()
-		for r := range roots {
-			nrng := st.Negatives(sp.Seed, r)
-			for i := 0; i < sp.NegativeRate; i++ {
-				res.Negatives[r*sp.NegativeRate+i] = graph.NodeID(nrng.Int63n(n))
-			}
-		}
-		sampler.PutStream(st)
-		attrSlots += len(res.Negatives)
+		// Negatives need no graph I/O; draw them up front.
+		negBuf := rg.IDs(len(roots) * sp.NegativeRate)
+		k := sampler.NewKernel(sp, sp.Seed)
+		res.Negatives = k.Negatives(negBuf[:0], 0, len(roots), e.store.NumNodes())
+		k.Release()
 	}
 	if sp.FetchAttrs {
-		res.Attrs = rg.Floats(attrSlots*b.attrLen, true)
+		res.Attrs = rg.Floats(b.lay.Slots*b.attrLen, true)
 	}
 	b.res = res
 
@@ -338,10 +325,10 @@ func (b *batch) runRoot(ctx context.Context, r int) {
 	root := b.res.Roots[r]
 	frontier := []graph.NodeID{root}
 	var rootErr error
-	st := sampler.GetStream()
-	defer sampler.PutStream(st)
+	k := sampler.NewKernel(sp, sp.Seed)
+	defer k.Release()
 
-	for h, fanout := range sp.Fanouts {
+	for h := range sp.Fanouts {
 		if err := b.waitStage(ctx, h); err != nil {
 			b.retire(r, err)
 			return
@@ -362,18 +349,9 @@ func (b *batch) runRoot(ctx context.Context, r int) {
 				rootErr = err
 			}
 		}
-		seg := b.res.Hops[h][r*b.outW[h] : r*b.outW[h] : (r+1)*b.outW[h]]
-		out := seg[:0]
-		for i, v := range frontier {
-			rng := st.Node(sp.Seed, r, h, i)
-			before := len(out)
-			var cyc int
-			out, cyc = sampler.ExpandNeighbors(out, v, lists[i], fanout, sp.Method, sp.WeightFn, rng)
-			b.cycles[r] += cyc
-			for len(out)-before < fanout {
-				out = append(out, v)
-			}
-		}
+		w := b.lay.Width[h+1]
+		out, cyc := k.Expand(b.res.Hops[h][r*w:r*w:(r+1)*w], h, r*b.lay.Width[h], frontier, lists)
+		b.cycles[r] += cyc
 		mem.Lists.Put(lists)
 		frontier = out
 		b.advance(r)
@@ -404,14 +382,15 @@ func (b *batch) fetchRootAttrs(ctx context.Context, r int) error {
 	al := b.attrLen
 
 	total := 1 + sp.NegativeRate
-	for _, w := range b.outW {
+	for _, w := range b.lay.Width[1:] {
 		total += w
 	}
 	idBuf := mem.IDs.Get(total)
 	defer mem.IDs.Put(idBuf)
 	ids := append(idBuf[:0], res.Roots[r])
 	for h := range sp.Fanouts {
-		ids = append(ids, res.Hops[h][r*b.outW[h]:(r+1)*b.outW[h]]...)
+		w := b.lay.Width[h+1]
+		ids = append(ids, res.Hops[h][r*w:(r+1)*w]...)
 	}
 	ids = append(ids, res.Negatives[r*sp.NegativeRate:(r+1)*sp.NegativeRate]...)
 
@@ -428,13 +407,13 @@ func (b *batch) fetchRootAttrs(ctx context.Context, r int) error {
 	copy(res.Attrs[r*al:(r+1)*al], scratch[:al])
 	off := al
 	for h := range sp.Fanouts {
-		base := (b.hopBases[h] + r*b.outW[h]) * al
-		n := b.outW[h] * al
+		base := (b.lay.HopBase[h] + r*b.lay.Width[h+1]) * al
+		n := b.lay.Width[h+1] * al
 		copy(res.Attrs[base:base+n], scratch[off:off+n])
 		off += n
 	}
 	if sp.NegativeRate > 0 {
-		base := (b.negBase + r*sp.NegativeRate) * al
+		base := (b.lay.NegBase + r*sp.NegativeRate) * al
 		n := sp.NegativeRate * al
 		copy(res.Attrs[base:base+n], scratch[off:off+n])
 	}

@@ -1,9 +1,7 @@
 package sampler
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 
 	"lsdgnn/internal/graph"
 )
@@ -13,12 +11,12 @@ import (
 // heterogeneous GNN models.
 
 // MetaPathSampler samples k-hop neighborhoods following a relation path.
+// It is the synchronous Sampler with one relation view per hop, so
+// WeightFn, RootStreams and the pooled Result layout behave exactly as
+// they do over a single store.
 type MetaPathSampler struct {
-	hetero *graph.Hetero
-	hops   []Store // one relation view per hop
-	path   []string
-	cfg    Config
-	rng    *rand.Rand
+	path []string
+	s    *Sampler
 }
 
 // NewMetaPath builds a sampler following path; cfg.Fanouts must align with
@@ -30,18 +28,19 @@ func NewMetaPath(h *graph.Hetero, path []string, cfg Config) (*MetaPathSampler, 
 	if len(cfg.Fanouts) != len(path) {
 		return nil, fmt.Errorf("sampler: %d fanouts for %d-hop meta-path", len(cfg.Fanouts), len(path))
 	}
-	s := &MetaPathSampler{
-		hetero: h, path: path, cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-	}
-	for _, rel := range path {
+	views := make([]Store, len(path))
+	for i, rel := range path {
 		view, err := h.RelationView(rel)
 		if err != nil {
 			return nil, err
 		}
-		s.hops = append(s.hops, view)
+		views[i] = view
 	}
-	return s, nil
+	// Every view shares the node space and the attribute table, so the
+	// first one answers NumNodes and attribute fetches.
+	s := New(views[0], cfg)
+	s.views = views
+	return &MetaPathSampler{path: path, s: s}, nil
 }
 
 // Path returns the relation sequence.
@@ -49,56 +48,7 @@ func (s *MetaPathSampler) Path() []string { return append([]string(nil), s.path.
 
 // SampleBatch expands roots along the meta-path, producing the standard
 // Result layout. Each hop fetches the whole frontier through that
-// relation's batch store before drawing, so a remote-backed relation view
-// costs per-hop round trips, not per-node ones.
+// relation's batch store before drawing. Call Result.Release when done.
 func (s *MetaPathSampler) SampleBatch(roots []graph.NodeID) *Result {
-	ctx := context.Background()
-	res := &Result{Roots: roots}
-	frontier := roots
-	for hop, fanout := range s.cfg.Fanouts {
-		store := s.hops[hop]
-		lists := make([][]graph.NodeID, len(frontier))
-		_ = store.NeighborsBatch(ctx, lists, frontier)
-		next := make([]graph.NodeID, 0, len(frontier)*fanout)
-		for i, v := range frontier {
-			before := len(next)
-			var cyc int
-			next, cyc = SampleNeighbors(next, lists[i], fanout, s.cfg.Method, s.rng)
-			res.Cycles += cyc
-			for len(next)-before < fanout {
-				next = append(next, v)
-			}
-		}
-		res.Hops = append(res.Hops, next)
-		frontier = next
-	}
-	if s.cfg.NegativeRate > 0 {
-		res.Negatives = make([]graph.NodeID, 0, len(roots)*s.cfg.NegativeRate)
-		n := s.hetero.NumNodes()
-		for range roots {
-			for i := 0; i < s.cfg.NegativeRate; i++ {
-				res.Negatives = append(res.Negatives, graph.NodeID(s.rng.Int63n(n)))
-			}
-		}
-	}
-	if s.cfg.FetchAttrs {
-		total := len(res.Roots) + len(res.Negatives)
-		for _, h := range res.Hops {
-			total += len(h)
-		}
-		attrs := make([]float32, 0, total*s.hetero.AttrLen())
-		for _, v := range res.Roots {
-			attrs = s.hetero.Attr(attrs, v)
-		}
-		for _, hop := range res.Hops {
-			for _, v := range hop {
-				attrs = s.hetero.Attr(attrs, v)
-			}
-		}
-		for _, v := range res.Negatives {
-			attrs = s.hetero.Attr(attrs, v)
-		}
-		res.Attrs = attrs
-	}
-	return res
+	return s.s.SampleBatch(roots)
 }

@@ -26,13 +26,16 @@ type Store interface {
 	AttrLen() int
 	// NeighborsBatch fills dst[i] with the out-neighbors of vs[i]. dst must
 	// have len(vs) entries. The filled lists must not be modified. A store
-	// that can degrade (lost shards) fills what it has — leaving nil for
-	// lost vertices — and returns an error describing the loss, so the
-	// result stays layout-complete.
+	// that can lose part of a fetch (a cluster client with lost shards)
+	// fills what it has, leaving nil for lost vertices, and returns an
+	// error describing the loss. Sampler.Sample aborts on any error;
+	// degrading around the loss is the caller's policy (the cluster
+	// client's PartialResults, the pipeline's per-root degradation).
 	NeighborsBatch(ctx context.Context, dst [][]graph.NodeID, vs []graph.NodeID) error
 	// AttrsBatch fills dst with the attribute vectors of vs, concatenated
-	// in order. dst must have len(vs)*AttrLen() entries. Degrading stores
-	// leave lost vertices zeroed and return an error.
+	// in order. dst must have len(vs)*AttrLen() entries. A store that
+	// loses part of a fetch leaves lost vertices zeroed and returns an
+	// error.
 	AttrsBatch(ctx context.Context, dst []float32, vs []graph.NodeID) error
 }
 
@@ -149,8 +152,8 @@ func (r *Result) Release() {
 }
 
 // Own attaches the region whose buffers back this result, arming Release.
-// For execution paths (pipeline, cluster client) that assemble Results
-// from region allocations themselves.
+// For execution paths (the pipeline) that assemble Results from region
+// allocations themselves.
 func (r *Result) Own(rg *mem.Region) { r.region = rg }
 
 // NodesFetched returns the number of attribute vectors in Attrs.
@@ -170,9 +173,12 @@ type Config struct {
 	Seed         int64
 	// WeightFn, when set, switches neighbor selection to importance
 	// weighting (e.g. DegreeWeight) while keeping Method's hardware shape.
+	// It applies on every path: the Sampler, the cluster client, the
+	// pipeline, the AxE engine and meta-paths. DegreeWeight over a
+	// cluster client costs one grouped RPC per candidate.
 	WeightFn WeightFunc
 	// RootStreams switches random-number use from one shared batch stream
-	// to derived per-root, per-node streams (see NodeRNG): every expansion
+	// to derived per-root, per-node streams (see Kernel): every expansion
 	// draws from an RNG seeded by (Seed, root index, hop, position), so
 	// the sampled output is independent of execution order. This is what
 	// lets the out-of-order pipeline executor and the AxE engine retire
@@ -182,13 +188,17 @@ type Config struct {
 }
 
 // Sampler performs mini-batch k-hop sampling over a Store. A Sampler is
-// not safe for concurrent Sample calls (it reuses one RNG and one stream
-// cursor); use one Sampler per worker.
+// not safe for concurrent Sample calls (it carries one shared RNG stream
+// from batch to batch); use one Sampler per worker.
 type Sampler struct {
-	store  Store
-	cfg    Config
-	rng    *rand.Rand
-	stream *Stream
+	store Store
+	// views, when set, serves hop h's neighbor fetches from views[h] (one
+	// relation per meta-path hop); store still answers NumNodes and
+	// attributes.
+	views []Store
+	cfg   Config
+	// rng is the shared stream, nil under RootStreams.
+	rng *rand.Rand
 }
 
 // New creates a sampler. It panics on an empty fanout list since that
@@ -197,135 +207,92 @@ func New(store Store, cfg Config) *Sampler {
 	if len(cfg.Fanouts) == 0 {
 		panic("sampler: no fanouts configured")
 	}
-	return &Sampler{store: store, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), stream: NewStream()}
+	s := &Sampler{store: store, cfg: cfg}
+	if !cfg.RootStreams {
+		s.rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	return s
 }
 
 // SampleBatch runs k-hop sampling for the given roots with no deadline,
-// ignoring store degradation (a local store never degrades). Remote-backed
-// callers should use Sample, which bounds the batch with a context and
-// reports lost data.
+// for stores that cannot fail (a local graph, a relation view): it drops
+// Sample's error, so a failing store yields a nil result.
 func (s *Sampler) SampleBatch(roots []graph.NodeID) *Result {
 	res, _ := s.Sample(context.Background(), roots)
 	return res
 }
 
 // Sample runs k-hop sampling for the given roots. Each hop fetches the
-// whole frontier through one NeighborsBatch call, then draws neighbors in
-// frontier order, so results are identical to the historical per-node
-// path. The returned Result is always layout-complete; a non-nil error
-// reports store degradation (lost vertices contribute self-loop padding
-// and zeroed attributes) or ctx expiry (nil result).
+// whole frontier through one NeighborsBatch call, then expands it in
+// frontier order through the Kernel. Any store error aborts the batch:
+// Sample returns (nil, ctx.Err()) once ctx is done, else (nil, err).
+// Degrading a batch around lost data is the caller's policy (the cluster
+// client and the pipeline each implement one), not the sampler's.
 //
 // The result's hop, negative and attribute buffers come from the shared
 // internal/mem pools; call Result.Release when done with it to recycle
 // them (dropping the result without Release is safe, just unrecycled).
 func (s *Sampler) Sample(ctx context.Context, roots []graph.NodeID) (*Result, error) {
+	k := newKernel(s.cfg, s.rng)
+	defer k.Release()
 	rg := mem.NewRegion()
 	res := &Result{Roots: roots, region: rg}
+	abort := func(err error) (*Result, error) {
+		res.Release()
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
+		}
+		return nil, err
+	}
 	frontier := roots
-	width := 1 // per-root frontier width at the current hop
-	var firstErr error
 	for h, fanout := range s.cfg.Fanouts {
+		st := s.store
+		if s.views != nil {
+			st = s.views[h]
+		}
 		lists := mem.Lists.Get(len(frontier))
-		if err := s.store.NeighborsBatch(ctx, lists, frontier); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				mem.Lists.Put(lists)
-				res.Release()
-				return nil, ctxErr
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
+		if err := st.NeighborsBatch(ctx, lists, frontier); err != nil {
+			mem.Lists.Put(lists)
+			return abort(err)
 		}
-		// Each frontier node contributes exactly fanout entries after
-		// self-loop padding, so the hop buffer's size is exact; the capped
-		// slice turns any overflow into a reallocation instead of silent
-		// growth into pooled capacity.
+		// Each frontier node contributes exactly fanout entries, so the
+		// hop buffer's size is exact; the capped slice turns any overflow
+		// into a reallocation instead of silent growth into pooled
+		// capacity.
 		hopBuf := rg.IDs(len(frontier) * fanout)
-		next := hopBuf[:0:len(hopBuf)]
-		for i, v := range frontier {
-			rng := s.rng
-			if s.cfg.RootStreams {
-				rng = s.stream.Node(s.cfg.Seed, i/width, h, i%width)
-			}
-			before := len(next)
-			var cyc int
-			next, cyc = ExpandNeighbors(next, v, lists[i], fanout, s.cfg.Method, s.cfg.WeightFn, rng)
-			res.Cycles += cyc
-			// Pad to exact fanout with the parent (self-loop fallback).
-			for len(next)-before < fanout {
-				next = append(next, v)
-			}
-		}
+		var cyc int
+		frontier, cyc = k.Expand(hopBuf[:0:len(hopBuf)], h, 0, frontier, lists)
 		mem.Lists.Put(lists)
-		res.Hops = append(res.Hops, next)
-		frontier = next
-		width *= fanout
+		res.Cycles += cyc
+		res.Hops = append(res.Hops, frontier)
 	}
 	if s.cfg.NegativeRate > 0 {
 		negBuf := rg.IDs(len(roots) * s.cfg.NegativeRate)
-		negs := negBuf[:0:len(negBuf)]
-		n := s.store.NumNodes()
-		for r := range roots {
-			rng := s.rng
-			if s.cfg.RootStreams {
-				rng = s.stream.Negatives(s.cfg.Seed, r)
-			}
-			for i := 0; i < s.cfg.NegativeRate; i++ {
-				negs = append(negs, graph.NodeID(rng.Int63n(n)))
-			}
-		}
-		res.Negatives = negs
+		res.Negatives = k.Negatives(negBuf[:0:len(negBuf)], 0, len(roots), s.store.NumNodes())
 	}
 	if s.cfg.FetchAttrs {
 		if err := s.fetchAttrs(ctx, res); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				res.Release()
-				return nil, ctxErr
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
+			return abort(err)
 		}
 	}
-	return res, firstErr
+	return res, nil
 }
 
 func (s *Sampler) fetchAttrs(ctx context.Context, res *Result) error {
-	total := attrSlots(res)
-	ids := mem.IDs.Get(total)
-	ids = appendAttrOrder(ids[:0], res)
+	total := len(res.Roots) + len(res.Negatives)
+	for _, h := range res.Hops {
+		total += len(h)
+	}
+	ids := append(mem.IDs.Get(total)[:0], res.Roots...)
+	for _, hop := range res.Hops {
+		ids = append(ids, hop...)
+	}
+	ids = append(ids, res.Negatives...)
 	// Zeroed: degrading stores leave lost vertices at zero fill.
 	res.Attrs = res.region.Floats(total*s.store.AttrLen(), true)
 	err := s.store.AttrsBatch(ctx, res.Attrs, ids)
 	mem.IDs.Put(ids)
 	return err
-}
-
-// attrSlots counts the attribute vectors a result's canonical fetch order
-// covers.
-func attrSlots(res *Result) int {
-	total := len(res.Roots) + len(res.Negatives)
-	for _, h := range res.Hops {
-		total += len(h)
-	}
-	return total
-}
-
-// appendAttrOrder appends the canonical attribute-fetch order to dst.
-func appendAttrOrder(dst []graph.NodeID, res *Result) []graph.NodeID {
-	dst = append(dst, res.Roots...)
-	for _, hop := range res.Hops {
-		dst = append(dst, hop...)
-	}
-	return append(dst, res.Negatives...)
-}
-
-// AttrOrder returns the canonical attribute-fetch order of a result:
-// roots, every hop in order, then negatives — the layout Result.Attrs
-// concatenates.
-func AttrOrder(res *Result) []graph.NodeID {
-	return appendAttrOrder(make([]graph.NodeID, 0, attrSlots(res)), res)
 }
 
 // LocalStore adapts a *graph.Graph to the Store interface.
@@ -365,11 +332,4 @@ func (l LocalStore) AttrsBatch(ctx context.Context, dst []float32, vs []graph.No
 		l.G.Attr(dst[i*al:i*al], v)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

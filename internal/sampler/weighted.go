@@ -126,12 +126,11 @@ func SampleNeighborsWeighted(dst []graph.NodeID, candidates []graph.NodeID, weig
 	}
 }
 
-// ExpandNeighbors is the k-hop expansion step shared by every execution
-// path (synchronous Sampler, out-of-order pipeline, AxE engine): it draws
-// up to fanout of nbrs with method m and the given RNG, applying wf when
-// set. The returned slice grows dst by at most fanout (callers pad with
-// the parent to exact fanout).
-func ExpandNeighbors(dst []graph.NodeID, parent graph.NodeID, nbrs []graph.NodeID, fanout int, m Method, wf WeightFunc, rng *rand.Rand) ([]graph.NodeID, int) {
+// expandNeighbors is the Kernel's draw step: it samples up to fanout of
+// nbrs with method m and the given RNG, applying wf when set. The
+// returned slice grows dst by at most fanout (Kernel.Expand pads with the
+// parent to exact fanout).
+func expandNeighbors(dst []graph.NodeID, parent graph.NodeID, nbrs []graph.NodeID, fanout int, m Method, wf WeightFunc, rng *rand.Rand) ([]graph.NodeID, int) {
 	if wf == nil {
 		return SampleNeighbors(dst, nbrs, fanout, m, rng)
 	}
